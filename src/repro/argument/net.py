@@ -984,16 +984,18 @@ def verify_remote(
     field = program.field
     with telemetry.span("verifier.query_setup"):
         qap = build_qap(program.quadratic, mode=config.qap_mode)
-        schedule = zaatar_pcp.generate_schedule(
-            qap, config.params, FieldPRG(field, config.seed, "queries")
-        )
-        commitment_verifier = CommitmentVerifier(
-            field,
-            config.group(field),
-            len(schedule.queries[0]),
-            FieldPRG(field, config.seed, "commitment"),
-        )
-        request = commitment_verifier.commit_request()
+        with telemetry.span("verifier.pcp_queries"):
+            schedule = zaatar_pcp.generate_schedule(
+                qap, config.params, FieldPRG(field, config.seed, "queries")
+            )
+        with telemetry.span("verifier.encrypt_r"):
+            commitment_verifier = CommitmentVerifier(
+                field,
+                config.group(field),
+                len(schedule.queries[0]),
+                FieldPRG(field, config.seed, "commitment"),
+            )
+            request = commitment_verifier.commit_request()
         challenge = commitment_verifier.decommit_challenge(schedule.queries)
 
     delays = retry.delays()

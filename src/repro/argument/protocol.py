@@ -259,18 +259,20 @@ class ZaatarArgument:
         prg = FieldPRG(self.field, cfg.seed, "queries")
 
         def _generate():
-            schedule = zaatar_pcp.generate_schedule(self.qap, cfg.params, prg)
+            with telemetry.span("verifier.pcp_queries"):
+                schedule = zaatar_pcp.generate_schedule(self.qap, cfg.params, prg)
             commitment_verifier = None
             request = None
             challenge = None
             if cfg.use_commitment:
-                commitment_verifier = CommitmentVerifier(
-                    self.field,
-                    cfg.group(self.field),
-                    len(schedule.queries[0]),
-                    FieldPRG(self.field, cfg.seed, "commitment"),
-                )
-                request = commitment_verifier.commit_request()
+                with telemetry.span("verifier.encrypt_r"):
+                    commitment_verifier = CommitmentVerifier(
+                        self.field,
+                        cfg.group(self.field),
+                        len(schedule.queries[0]),
+                        FieldPRG(self.field, cfg.seed, "commitment"),
+                    )
+                    request = commitment_verifier.commit_request()
                 challenge = commitment_verifier.decommit_challenge(schedule.queries)
             return schedule, commitment_verifier, request, challenge
 
@@ -523,17 +525,19 @@ class GingerArgument:
         timer = PhaseTimer(verifier_stats)
         with timer.phase("query_setup"):
             prg = FieldPRG(self.field, cfg.seed, "ginger-queries")
-            schedule = ginger_pcp.generate_schedule(gsys, cfg.params, prg)
+            with telemetry.span("verifier.pcp_queries"):
+                schedule = ginger_pcp.generate_schedule(gsys, cfg.params, prg)
             commitment_verifier = None
             request = challenge = None
             if cfg.use_commitment:
-                commitment_verifier = CommitmentVerifier(
-                    self.field,
-                    cfg.group(self.field),
-                    len(schedule.queries[0]),
-                    FieldPRG(self.field, cfg.seed, "ginger-commitment"),
-                )
-                request = commitment_verifier.commit_request()
+                with telemetry.span("verifier.encrypt_r"):
+                    commitment_verifier = CommitmentVerifier(
+                        self.field,
+                        cfg.group(self.field),
+                        len(schedule.queries[0]),
+                        FieldPRG(self.field, cfg.seed, "ginger-commitment"),
+                    )
+                    request = commitment_verifier.commit_request()
                 challenge = commitment_verifier.decommit_challenge(schedule.queries)
 
         results: list[InstanceResult] = []

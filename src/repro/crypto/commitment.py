@@ -26,6 +26,7 @@ against actual op counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from operator import mul
 from typing import Sequence
 
 from .. import telemetry
@@ -111,7 +112,7 @@ class CommitmentVerifier:
 
     def commit_request(self) -> CommitRequest:
         """Draw the secret r and encrypt it componentwise (once per batch)."""
-        self._r = [self._prg.next_element() for _ in range(self.n)]
+        self._r = self._prg.next_vector(self.n)
         cts = self._keypair.public.encrypt_vector(self._r, self._prg)
         self.counts.encryptions += self.n
         return CommitRequest(cts)
@@ -122,16 +123,20 @@ class CommitmentVerifier:
         """Append the consistency query t = r + Σ αᵢ·qᵢ to the PCP queries."""
         if self._r is None:
             raise RuntimeError("commit_request must run before decommit")
-        self._alphas = [self._prg.next_element() for _ in range(len(queries))]
-        t = list(self._r)
-        for alpha, q in zip(self._alphas, queries):
+        self._alphas = self._prg.next_vector(len(queries))
+        for q in queries:
             if len(q) != self.n:
                 raise ValueError(f"query length {len(q)} != vector length {self.n}")
-            t = self.field.vec_addmul(t, alpha, q)
-        self.counts.field_muls += sum(
-            1 for q in queries for qi in q if qi
-        )
-        return DecommitChallenge([list(q) for q in queries] + [t])
+        # one pass, reduced once per entry: t_j = (r_j + Σᵢ αᵢ·q_ij) mod p
+        p = self.field.p
+        alphas = self._alphas
+        t = list(self._r)
+        if queries:
+            t = [(r + sum(map(mul, alphas, column))) % p for r, column in zip(t, zip(*queries))]
+        self.counts.field_muls += sum(len(q) - q.count(0) for q in queries)
+        # the challenge shares the query vectors with the caller's
+        # schedule: neither party writes to a query
+        return DecommitChallenge([*queries, t])
 
     def verify(self, commitment: ElGamalCiphertext, response: DecommitResponse) -> bool:
         """Consistency test in the exponent; True iff the answers bind to
@@ -189,7 +194,7 @@ class CommitmentProver:
         answers = []
         for q in challenge.queries:
             answers.append(self.field.inner_product(q, self.u))
-            self.counts.field_muls += sum(1 for qi in q if qi)
+            self.counts.field_muls += len(q) - q.count(0)
         telemetry.count("crypto.decommit_answers", len(answers))
         return DecommitResponse(answers)
 

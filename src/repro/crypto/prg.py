@@ -11,6 +11,7 @@ queries pseudorandomly").
 from __future__ import annotations
 
 import hashlib
+import struct
 
 from ..field import PrimeField
 from .chacha import ChaChaStream
@@ -44,8 +45,32 @@ class FieldPRG:
                 return v
 
     def next_vector(self, n: int) -> list[int]:
-        """n uniform field elements."""
-        return [self.next_element() for _ in range(n)]
+        """n uniform field elements, exactly as n ``next_element`` calls.
+
+        Reads the bytes of all n samples in one go and keeps the ones
+        below the rejection limit, then reads again only for as many
+        samples as were rejected.  The last sample read is always an
+        accepted one, so this consumes exactly the bytes the sequential
+        draws would and returns the same elements in the same order.
+        """
+        out: list[int] = []
+        while len(out) < n:
+            out += self._accepted(n - len(out))
+        return out
+
+    def _accepted(self, k: int) -> list[int]:
+        """The samples among the next k that pass rejection, reduced."""
+        sb = self._sample_bytes
+        data = self._stream.read(k * sb)
+        if sb == 8:
+            raw = struct.unpack(f"<{k}Q", data)
+        elif sb == 16:
+            words = struct.unpack(f"<{2 * k}Q", data)
+            raw = [lo | hi << 64 for lo, hi in zip(words[::2], words[1::2])]
+        else:
+            raw = [int.from_bytes(data[i : i + sb], "little") for i in range(0, k * sb, sb)]
+        p, limit = self.field.p, self._limit
+        return [x % p for x in raw if x < limit]
 
     def next_bytes(self, n: int) -> bytes:
         """Raw keystream bytes (for non-field randomness)."""

@@ -108,17 +108,16 @@ def _circuit_query(gsys: GingerSystem, prg: FieldPRG) -> GingerCircuitQuery:
     gamma1 = [0] * n
     gamma2 = [0] * (n * n)
     gamma0 = 0
-    for constraint in gsys.constraints:
-        v = prg.next_element()
+    for constraint, v in zip(gsys.constraints, prg.next_vector(len(gsys.constraints))):
         gamma0 = (gamma0 + v * constraint.constant) % p
         for i, c in constraint.linear.items():
             gamma1[i - 1] = (gamma1[i - 1] + v * c) % p
         for (i, k), c in constraint.quadratic.items():
             flat = (i - 1) * n + (k - 1)
             gamma2[flat] = (gamma2[flat] + v * c) % p
+    bound = list(gsys.input_vars) + list(gsys.output_vars)
     binding: dict[int, int] = {}
-    for var in list(gsys.input_vars) + list(gsys.output_vars):
-        v = prg.next_element()
+    for var, v in zip(bound, prg.next_vector(len(bound))):
         binding[var] = v
         gamma1[var - 1] = (gamma1[var - 1] + v) % p
     return GingerCircuitQuery(gamma1, gamma2, gamma0, binding)

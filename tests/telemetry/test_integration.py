@@ -66,8 +66,16 @@ class TestTraceShape:
             assert "prover.crypto_ops" in names
             assert "prover.answer_queries" in names
 
-        assert len(trace.find("verifier.query_setup")) == 1
+        (setup,) = trace.find("verifier.query_setup")
         assert len(trace.find("verifier.per_instance")) == 2
+        # the set-up splits into the PCP schedule and Enc(r), and the
+        # ChaCha blocks behind both are counted
+        children = [s.name for s in trace.children(setup)]
+        assert "verifier.pcp_queries" in children
+        assert "verifier.encrypt_r" in children
+        for name in ("verifier.pcp_queries", "verifier.encrypt_r"):
+            (span,) = trace.find(name)
+            assert sum(s.counters.get("crypto.prg.blocks", 0) for s in trace.subtree(span)) > 0
 
         totals = trace.total_counters()
         assert totals.get("field.mul", 0) > 0
