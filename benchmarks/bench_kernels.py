@@ -15,11 +15,19 @@ products over the 64-bit field, at sizes bracketing ``--size``.  Under
 beat scalar at sizes >= 2^12; the sweep lands in
 ``benchmarks/out/BENCH_backends.json``.
 
-Finally it exercises the batch-axis prover path on the 128-bit modulus
+It exercises the batch-axis prover path on the 128-bit modulus
 (``benchmarks/out/BENCH_batch.json``): the batched H(t) pipeline must
 stay bit-identical to the per-row route, and the CRT residue-plane
 product must beat the object-dtype stacked-NTT route it replaces by
 ``BATCH_MIN_SPEEDUP`` on the fixed gate shape.
+
+Finally it races the arithmetic-mode H(t) routes on a random p128
+program of ``H_ROUTE_M`` constraints, at β = 1 (``compute_h``) and
+β = 8 (``compute_h_batch``): the point-value route the prover runs
+against the paper's interpolate-multiply-divide route, which the tests
+keep as its oracle (``tests/qap/h_oracle.py``).  Under ``--check`` the
+two must be bit-identical and the point-value route no slower, within
+``CHECK_MARGIN``; the rows land in ``BENCH_kernels.json``.
 
 Standalone::
 
@@ -39,6 +47,7 @@ import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+sys.path.insert(1, str(Path(__file__).resolve().parent.parent))  # tests.qap.h_oracle
 
 from _harness import FIELD, RESULTS, emit_results, fmt_seconds, print_table
 
@@ -80,6 +89,9 @@ BATCH_MIN_BATCH = 32
 #: issue criterion asks for; the speedup grows with both dimensions)
 BATCH_GATE_M = 4096
 BATCH_GATE_BATCH = 64
+
+#: constraints in the arithmetic H-route race
+H_ROUTE_M = 512
 
 
 def _best_of(fn, reps: int) -> float:
@@ -373,6 +385,46 @@ def _bench_batch_product(reps: int, rng: random.Random) -> dict | None:
     }
 
 
+def _bench_h_route(reps: int, rng: random.Random) -> dict:
+    """Arithmetic-mode H(t) on p128: point values vs the division oracle.
+
+    Both routes run warm — the QAP's point-value tree and the oracle's
+    tree, derivative weights and divisor inverse are built before any
+    timing — so the race is per-instance work only: at β = 1 one
+    ``compute_h`` against one oracle instance, at β = 8 one
+    ``compute_h_batch`` against eight.
+    """
+    from repro.field import NAMED_FIELDS
+    from repro.qap import build_qap, compute_h
+    from repro.qap.prover import compute_h_batch
+    from tests.qap.h_oracle import DivisionOracle, random_program
+
+    field = PrimeField(NAMED_FIELDS["p128"], check_prime=False)
+    system, sample = random_program(field, H_ROUTE_M, rng)
+    qap = build_qap(system).warm()
+    oracle = DivisionOracle(qap)
+    rows = []
+    for beta in (1, 8):
+        witnesses = [sample(rng) for _ in range(beta)]
+        if beta == 1:
+            point_route = lambda: [compute_h(qap, witnesses[0])]  # noqa: E731
+        else:
+            point_route = lambda: compute_h_batch(qap, witnesses)  # noqa: E731
+        oracle_route = lambda: [oracle.compute_h(w) for w in witnesses]  # noqa: E731
+        identical = point_route() == oracle_route()
+        route_reps = reps if beta == 1 else min(reps, 3)
+        rows.append(
+            {
+                "beta": beta,
+                "cached_seconds": _best_of(point_route, route_reps),
+                "uncached_seconds": _best_of(oracle_route, route_reps),
+                "bit_identical": identical,
+            }
+        )
+        rows[-1]["speedup"] = rows[-1]["uncached_seconds"] / rows[-1]["cached_seconds"]
+    return {"modulus": "p128", "m": qap.m, "betas": rows}
+
+
 def run_bench(size: int, reps: int) -> dict:
     rng = random.Random(0xC0DE)
     out = {
@@ -382,6 +434,7 @@ def run_bench(size: int, reps: int) -> dict:
         "counters": _bench_counters(size),
         "backends": _bench_backends(size, reps, rng),
         "batch": _bench_batch(size, reps, rng),
+        "h_route": _bench_h_route(reps, rng),
     }
     for label, row in out.items():
         if label == "backends":
@@ -406,6 +459,15 @@ def check(results: dict) -> list[str]:
             failures.append(
                 f"{section}: cached path {fast:.6f}s slower than "
                 f"uncached {slow:.6f}s (margin {CHECK_MARGIN}x)"
+            )
+    for row in results["h_route"]["betas"]:
+        if not row["bit_identical"]:
+            failures.append(f"h_route: point-value H differs from the oracle at beta={row['beta']}")
+        if row["cached_seconds"] > row["uncached_seconds"] * CHECK_MARGIN:
+            failures.append(
+                f"h_route: point-value route {row['cached_seconds']:.6f}s slower than "
+                f"the division oracle {row['uncached_seconds']:.6f}s at beta={row['beta']} "
+                f"(margin {CHECK_MARGIN}x)"
             )
     counters = results["counters"]
     if counters["plan_hits"] == 0:
@@ -469,6 +531,23 @@ def _report(results: dict) -> None:
         "kernel plans: cached vs from-scratch",
         ["kernel", "uncached", "cached", "speedup", "bit-identical"],
         rows,
+    )
+    h_route = results["h_route"]
+    print()
+    print_table(
+        f"arithmetic H(t) ({h_route['modulus']}, m={h_route['m']}): "
+        "division oracle vs point values",
+        ["beta", "oracle", "point values", "speedup", "bit-identical"],
+        [
+            [
+                f"beta={row['beta']}",
+                fmt_seconds(row["uncached_seconds"]),
+                fmt_seconds(row["cached_seconds"]),
+                f"{row['speedup']:.2f}x",
+                "yes" if row["bit_identical"] else "NO",
+            ]
+            for row in h_route["betas"]
+        ],
     )
     counters = results["counters"]
     print(

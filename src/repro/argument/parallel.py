@@ -708,6 +708,8 @@ def run_parallel_batch(
                 if num_workers == 1:
                     engine.run_inline(states)
                 else:
+                    # build the prover's structures once, before the fork
+                    argument.qap.warm()
                     engine.run_pool(states, num_workers)
         finally:
             _WORKER_STATE.clear()

@@ -105,19 +105,14 @@ class RegisteredProgram:
         self._schedules: OrderedDict = OrderedDict()
 
     def warm(self, qap_mode: str | None = None) -> "RegisteredProgram":
-        """Build the QAP and touch every lazily-computed artifact.
+        """Build the QAP and everything its prover reads.
 
-        Registration-time warming moves the one-time costs (subproduct
-        tree for the NTT evaluation domain, divisor polynomial and its
-        inverse power series, barycentric weights) out of the first
-        session's latency — and, when the gateway forks shard workers,
-        into memory the children inherit copy-on-write.
+        Registration-time warming (:meth:`~repro.qap.QAPInstance.warm`)
+        moves the one-time costs out of the first session's latency —
+        and, when the gateway forks shard workers, into memory the
+        children inherit copy-on-write.
         """
-        qap = self.qap(qap_mode or self.config.qap_mode)
-        qap.subproduct_tree
-        qap.divisor_poly
-        qap.barycentric_weights
-        qap.divisor_inverse_series
+        self.qap(qap_mode or self.config.qap_mode).warm()
         return self
 
     def qap(self, qap_mode: str):

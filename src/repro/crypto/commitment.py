@@ -155,13 +155,6 @@ class CommitmentVerifier:
         self.counts.decryptions += 1
         return self.group.encode(expected_exp) == decrypted
 
-    @property
-    def pcp_answers_of(self):
-        """Split a response into PCP answers (dropping the consistency answer)."""
-        def split(response: DecommitResponse) -> list[int]:
-            return response.answers[:-1]
-        return split
-
 
 class CommitmentProver:
     """Prover side: holds the proof vector u and answers linearly.

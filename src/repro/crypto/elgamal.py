@@ -181,12 +181,15 @@ class ElGamalKeypair:
         return cls(ElGamalPublicKey(group, h), x)
 
     def decrypt_to_group(self, ct: ElGamalCiphertext) -> int:
-        """Recover g^m (not m itself — the exponent stays hidden)."""
+        """Recover g^m (not m itself — the exponent stays hidden).  A
+        c1 ≡ 0 has no inverse; it decrypts to 0, which no check accepts."""
         if telemetry.enabled():
             telemetry.count("crypto.decryptions")
             telemetry.count("crypto.exponentiations")
         P = self.public.group.modulus
-        return ct.c2 * pow(ct.c1, P - 1 - self.secret, P) % P
+        if ct.c1 % P == 0:
+            return 0
+        return ct.c2 * pow(ct.c1, -self.secret, P) % P
 
 
 def ciphertext_mul(group: SchnorrGroup, a: ElGamalCiphertext, b: ElGamalCiphertext) -> ElGamalCiphertext:

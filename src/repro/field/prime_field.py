@@ -323,21 +323,6 @@ class PrimeField:
             )
         return self.backend.mat_polymul(rows_a, rows_b)
 
-    # -- randomness ----------------------------------------------------------
-
-    def random_element(self, rng: random.Random) -> int:
-        """Uniform draw from [0, p) using a host RNG (tests only)."""
-        return rng.randrange(self.p)
-
-    def random_vector(self, n: int, rng: random.Random) -> list[int]:
-        """n uniform draws (tests only; protocol code uses FieldPRG)."""
-        p = self.p
-        return [rng.randrange(p) for _ in range(n)]
-
-    def random_nonzero(self, rng: random.Random) -> int:
-        """Uniform draw from [1, p)."""
-        return rng.randrange(1, self.p)
-
     # -- roots of unity -------------------------------------------------------
 
     def two_adic_generator(self) -> int:

@@ -29,7 +29,7 @@ from typing import Sequence
 
 from .. import telemetry
 from ..field import PrimeField
-from .ntt import max_ntt_size
+from .multiply import mul_strategy, poly_mul
 from .plan import get_ntt_plan
 
 
@@ -81,10 +81,12 @@ def mat_poly_mul(
     coefficients per-row :func:`~repro.poly.multiply.poly_mul` yields
     plus trailing zeros where the true product has lower degree.
 
-    Routing, in preference order: the backend's dedicated batched
-    convolution (the CRT residue-plane path for big moduli), stacked
-    NTTs over one shared plan, then per-row ``poly_mul`` (tiny shapes
-    or fields without a long-enough transform).
+    Routing: shapes for which :func:`~repro.poly.multiply.poly_mul`
+    would not pick the NTT (tiny operands, or fields without a
+    long-enough transform) go through per-row ``poly_mul``; the rest
+    take the backend's dedicated batched convolution (the CRT
+    residue-plane path for big moduli) or else stacked NTTs over one
+    shared plan.
     """
     batch = len(rows_a)
     if len(rows_b) != batch:
@@ -98,25 +100,23 @@ def mat_poly_mul(
     if la == 0 or lb == 0:
         return [[] for _ in range(batch)]
     out_len = la + lb - 1
+    if mul_strategy(field, la, lb) != "ntt":
+        out = []
+        for ra, rb in zip(rows_a, rows_b):
+            conv = poly_mul(field, ra, rb)
+            out.append(conv + [0] * (out_len - len(conv)))
+        return out
     fast = field.mat_polymul(rows_a, rows_b)
     if fast is not None:
         return fast
     size = 2
     while size < out_len:
         size <<= 1
-    if size <= max_ntt_size(field):
-        if telemetry.enabled():
-            telemetry.count("poly.ntt_calls", 3 * batch)
-            telemetry.count("poly.ntt_points", 3 * batch * size)
-        plan = get_ntt_plan(field, size)
-        fa = field.mat_transform(plan, pad_rows(rows_a, size))
-        fb = field.mat_transform(plan, pad_rows(rows_b, size))
-        out = field.mat_transform(plan, field.mat_hadamard(fa, fb), invert=True)
-        return [row[:out_len] for row in out]
-    from .multiply import poly_mul  # local import to avoid a cycle
-
-    out = []
-    for ra, rb in zip(rows_a, rows_b):
-        conv = poly_mul(field, ra, rb)
-        out.append(conv + [0] * (out_len - len(conv)))
-    return out
+    if telemetry.enabled():
+        telemetry.count("poly.ntt_calls", 3 * batch)
+        telemetry.count("poly.ntt_points", 3 * batch * size)
+    plan = get_ntt_plan(field, size)
+    fa = field.mat_transform(plan, pad_rows(rows_a, size))
+    fb = field.mat_transform(plan, pad_rows(rows_b, size))
+    out = field.mat_transform(plan, field.mat_hadamard(fa, fb), invert=True)
+    return [row[:out_len] for row in out]

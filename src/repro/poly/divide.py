@@ -17,6 +17,13 @@ from .multiply import poly_mul
 #: below this size the quadratic schoolbook loop wins
 _NEWTON_CUTOFF = 64
 
+#: the error ``poly_div_exact`` raises; the QAP prover raises the same
+#: text when its point-value divisibility test fails
+INEXACT_DIVISION = (
+    "polynomial division has a nonzero remainder "
+    "(witness does not satisfy the constraints?)"
+)
+
 
 def poly_divmod_naive(
     field: PrimeField, num: Sequence[int], den: Sequence[int]
@@ -138,10 +145,7 @@ def poly_div_exact(
     """
     quot, rem = poly_divmod(field, num, den, inv_rev_den=inv_rev_den)
     if rem:
-        raise ValueError(
-            "polynomial division has a nonzero remainder "
-            "(witness does not satisfy the constraints?)"
-        )
+        raise ValueError(INEXACT_DIVISION)
     return quot
 
 

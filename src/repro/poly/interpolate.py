@@ -31,8 +31,8 @@ class SubproductTree:
 
     Building the tree costs O(M(n) log n); it is then reused for any
     number of multipoint evaluations and interpolations at those points
-    (the prover interpolates three polynomials per proof instance over
-    the same σ set).
+    (the prover interpolates H once per proof instance over the same
+    points).
     """
 
     def __init__(self, field: PrimeField, points: Sequence[int]):
@@ -54,7 +54,6 @@ class SubproductTree:
             levels.append(nxt)
         self.levels = levels
         self.n = n
-        self._derivative_evals: list[int] | None = None
         self._inv_derivative_evals: list[int] | None = None
         self._warm_mul_plans()
 
@@ -115,12 +114,9 @@ class SubproductTree:
 
     def derivative_evals(self) -> list[int]:
         """m'(x_i) for all points, where m is the root polynomial."""
-        if self._derivative_evals is None:
-            from .dense import poly_derivative
+        from .dense import poly_derivative
 
-            deriv = poly_derivative(self.field, self.root)
-            self._derivative_evals = self.evaluate(deriv)
-        return self._derivative_evals
+        return self.evaluate(poly_derivative(self.field, self.root))
 
     def inv_derivative_evals(self) -> list[int]:
         """1/m'(x_i) for all points, batch-inverted once and reused.

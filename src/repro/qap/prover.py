@@ -1,13 +1,21 @@
 """The QAP prover pipeline: from witness to the proof vector (z, h).
 
-§A.3, "The prover": three FFT-flavoured steps costing
-≈ 3·f·|C|·log²|C| —
+§A.3, "The prover": H_w(t) = P_w(t)/D(t), P_w = A_w·B_w − C_w.  The
+values of A_w, B_w, C_w at the σ_j are free (the j-th constraint's
+p_A/p_B/p_C evaluated at w).  In roots mode three inverse NTTs, one
+product and a telescoped division by D(t) = t^m − 1 follow.  In
+arithmetic mode (σ_j = j) H comes from point values, with one
+interpolation and no division:
 
-1. evaluate A_w, B_w, C_w at the interpolation points (free: the value
-   at σ_j is just the j-th constraint's p_A/p_B/p_C evaluated at w) and
-   interpolate to coefficient form;
-2. multiply: P_w(t) = A_w(t)·B_w(t) − C_w(t);
-3. divide exactly by D(t) to get H_w(t).
+1. reject w unless A(j)·B(j) − C(j) = 0 for j = 1..m — by Claim A.1
+   exactly D | P_w — with the error exact division would raise;
+2. extrapolate A, B, C from 0..m to m+1..2m+1 with one convolution
+   (:meth:`~repro.qap.qap.PointValueTree.extrapolate`);
+3. there, H(x) = (A·B − C)(x)/D(x), D(x) a ratio of factorials;
+4. interpolate H once over those points.
+
+The paper's interpolate-multiply-divide route gives the same
+coefficients; the tests keep it as the oracle.
 
 ``build_proof_vector`` assembles u = (z, h), the two linear functions
 π_z, π_h of §3, as one flat vector (the commitment layer treats them
@@ -21,18 +29,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .. import telemetry
-from ..poly import (
-    interpolate_at_roots_of_unity,
-    mat_interpolate_at_roots_of_unity,
-    mat_poly_mul,
-    max_ntt_size,
-    pad_rows,
-    poly_div_exact,
-    poly_mul,
-    poly_sub,
-    trim,
-)
-from ..poly.divide import _NEWTON_CUTOFF
+from ..poly import mat_interpolate_at_roots_of_unity, mat_poly_mul, pad_rows, trim
+from ..poly.divide import INEXACT_DIVISION
 from .qap import QAPInstance
 
 
@@ -83,39 +81,82 @@ def witness_poly_evaluations(
 def compute_h(qap: QAPInstance, w: Sequence[int]) -> list[int]:
     """Coefficients of H_w(t) = P_w(t)/D(t), padded to ``qap.h_length``.
 
-    Raises ``ValueError`` (from exact division) if w does not satisfy
-    the constraints — by Claim A.1 divisibility is equivalent to
-    satisfiability.
+    Raises ``ValueError`` if w does not satisfy the constraints — by
+    Claim A.1 divisibility is equivalent to satisfiability.
     """
+    (h,) = compute_h_batch(qap, [w])
+    if isinstance(h, ValueError):
+        raise h
+    return h
+
+
+def compute_h_batch(qap: QAPInstance, witnesses: Sequence[Sequence[int]]) -> list:
+    """H_w(t) rows for many witnesses against one fixed QAP.
+
+    Each step runs once for the whole batch as stacked 2-D kernels
+    (one plan, one array program per step — see ``repro.poly.batch``),
+    and each returned entry is either the padded coefficient list of
+    H_w or the ``ValueError`` its witness raises (failure isolation:
+    one bad witness never poisons its batchmates).
+    :func:`compute_h` is the batch of one.
+    """
+    if not witnesses:
+        return []
+    with telemetry.span("qap.witness_evals", rows=len(witnesses)):
+        triples = [witness_poly_evaluations(qap, w) for w in witnesses]
+    if qap.mode == "arithmetic":
+        h_rows = _arithmetic_h_rows(qap, triples)
+    else:
+        h_rows = _roots_h_rows(qap, triples)
+    out: list = []
+    for h in h_rows:
+        if not isinstance(h, ValueError):
+            h = trim(list(h))  # roots rows carry fixed-width padding
+            if len(h) > qap.h_length:
+                raise AssertionError("H(t) degree exceeds the protocol bound")
+            h += [0] * (qap.h_length - len(h))
+        out.append(h)
+    return out
+
+
+def _arithmetic_h_rows(qap: QAPInstance, triples) -> list:
+    """H from point values, for each (A, B, C) triple of values at
+    0..m: the trimmed coefficients, or the ``ValueError`` exact
+    division would raise if the witness fails a constraint."""
     field = qap.field
-    with telemetry.span("qap.witness_evals"):
-        evals_a, evals_b, evals_c = witness_poly_evaluations(qap, w)
-    with telemetry.span("qap.interpolate", mode=qap.mode):
-        if qap.mode == "roots":
-            poly_a = interpolate_at_roots_of_unity(field, evals_a)
-            poly_b = interpolate_at_roots_of_unity(field, evals_b)
-            poly_c = interpolate_at_roots_of_unity(field, evals_c)
-        else:
+    p = field.p
+    with telemetry.span("qap.divide", mode=qap.mode, rows=len(triples)):
+        satisfied = [
+            not any((a * b - c) % p for a, b, c in zip(*triple)) for triple in triples
+        ]
+    good = [triple for triple, ok in zip(triples, satisfied) if ok]
+    polys = iter(())
+    if good:
+        rows = len(good)
+        with telemetry.span("qap.interpolate", mode=qap.mode, rows=rows):
             tree = qap.subproduct_tree
-            poly_a = tree.interpolate(evals_a)
-            poly_b = tree.interpolate(evals_b)
-            poly_c = tree.interpolate(evals_c)
-    with telemetry.span("qap.multiply"):
-        p_w = poly_sub(field, poly_mul(field, poly_a, poly_b), poly_c)
-    with telemetry.span("qap.divide", mode=qap.mode):
-        if qap.mode == "roots":
-            h = _divide_by_subgroup_vanishing(field, p_w, qap.m)
-        elif qap.m >= _NEWTON_CUTOFF:
-            # batch-amortized fast division: the QAP caches rev(D)⁻¹,
-            # so instances after the first skip the Newton iteration
-            h = poly_div_exact(
-                field, p_w, qap.divisor_poly, inv_rev_den=qap.divisor_inverse_series()
-            )
-        else:
-            h = poly_div_exact(field, p_w, qap.divisor_poly)
-    if len(h) > qap.h_length:
-        raise AssertionError("H(t) degree exceeds the protocol bound")
-    return h + [0] * (qap.h_length - len(h))
+            ext = tree.extrapolate([values for triple in good for values in triple])
+        with telemetry.span("qap.multiply", rows=rows):
+            p_vals = field.mat_sub(field.mat_hadamard(ext[0::3], ext[1::3]), ext[2::3])
+        with telemetry.span("qap.divide", mode=qap.mode, rows=rows):
+            h_vals = field.mat_hadamard(p_vals, [tree.inv_divisor] * rows)
+        with telemetry.span("qap.interpolate", mode=qap.mode, rows=rows):
+            polys = iter([tree.interpolate(values) for values in h_vals])
+    return [next(polys) if ok else ValueError(INEXACT_DIVISION) for ok in satisfied]
+
+
+def _roots_h_rows(qap: QAPInstance, triples) -> list:
+    """Inverse NTTs, one product, and the telescoped division by t^m − 1."""
+    field, m, rows = qap.field, qap.m, len(triples)
+    with telemetry.span("qap.interpolate", mode=qap.mode, rows=rows):
+        rows_a = mat_interpolate_at_roots_of_unity(field, [t[0] for t in triples])
+        rows_b = mat_interpolate_at_roots_of_unity(field, [t[1] for t in triples])
+        rows_c = mat_interpolate_at_roots_of_unity(field, [t[2] for t in triples])
+    with telemetry.span("qap.multiply", rows=rows):
+        prod = mat_poly_mul(field, rows_a, rows_b)  # width 2m − 1
+        p_rows = field.mat_sub(pad_rows(prod, 2 * m), pad_rows(rows_c, 2 * m))
+    with telemetry.span("qap.divide", mode=qap.mode, rows=rows):
+        return _mat_divide_by_subgroup_vanishing(field, p_rows, m)
 
 
 def _divide_by_subgroup_vanishing(field, p_w: list[int], m: int) -> list[int]:
@@ -178,101 +219,6 @@ def _mat_divide_by_subgroup_vanishing(field, p_rows, m: int):
                 "batched remainder check disagreed with scalar division"
             )  # pragma: no cover - the two are algebraically identical
         out.append(tails[i])
-    return out
-
-
-def _compute_h_rows_sequential(qap: QAPInstance, witnesses):
-    """Per-witness fallback: ``compute_h`` each row, capturing failures."""
-    out: list = []
-    for w in witnesses:
-        try:
-            out.append(compute_h(qap, w))
-        except ValueError as exc:
-            out.append(exc)
-    return out
-
-
-def compute_h_batch(qap: QAPInstance, witnesses: Sequence[Sequence[int]]) -> list:
-    """H_w(t) rows for many witnesses against one fixed QAP.
-
-    The batch-axis twin of :func:`compute_h`: the interpolate/multiply/
-    divide pipeline runs as stacked 2-D kernels (one plan, one array
-    program per step — see ``repro.poly.batch``), and each returned
-    entry is either the padded coefficient list ``compute_h`` returns
-    for that witness or the ``ValueError`` it raises (failure
-    isolation).  Results are bit-identical to the sequential route;
-    ``tests/qap/test_prover.py`` pins this per mode.
-    """
-    batch = len(witnesses)
-    if batch == 0:
-        return []
-    if batch == 1:
-        return _compute_h_rows_sequential(qap, witnesses)
-    field = qap.field
-    with telemetry.span("qap.witness_evals", rows=batch):
-        triples = [witness_poly_evaluations(qap, w) for w in witnesses]
-    evals_a = [t[0] for t in triples]
-    evals_b = [t[1] for t in triples]
-    evals_c = [t[2] for t in triples]
-    if qap.mode == "roots":
-        m = qap.m
-        if 2 * m > max_ntt_size(field):  # pragma: no cover - tiny two-adicity
-            return _compute_h_rows_sequential(qap, witnesses)
-        with telemetry.span("qap.interpolate", mode=qap.mode, rows=batch):
-            rows_a = mat_interpolate_at_roots_of_unity(field, evals_a)
-            rows_b = mat_interpolate_at_roots_of_unity(field, evals_b)
-            rows_c = mat_interpolate_at_roots_of_unity(field, evals_c)
-        with telemetry.span("qap.multiply", rows=batch):
-            prod = mat_poly_mul(field, rows_a, rows_b)  # width 2m − 1
-            p_rows = field.mat_sub(pad_rows(prod, 2 * m), pad_rows(rows_c, 2 * m))
-        with telemetry.span("qap.divide", mode=qap.mode, rows=batch):
-            h_rows = _mat_divide_by_subgroup_vanishing(field, p_rows, m)
-    else:
-        with telemetry.span("qap.interpolate", mode=qap.mode, rows=batch):
-            tree = qap.subproduct_tree
-            polys_a = [tree.interpolate(e) for e in evals_a]
-            polys_b = [tree.interpolate(e) for e in evals_b]
-            polys_c = [tree.interpolate(e) for e in evals_c]
-        with telemetry.span("qap.multiply", rows=batch):
-            la = max((len(r) for r in polys_a), default=0)
-            lb = max((len(r) for r in polys_b), default=0)
-            if la and lb:
-                prod = mat_poly_mul(
-                    field, pad_rows(polys_a, la), pad_rows(polys_b, lb)
-                )
-            else:
-                prod = [[] for _ in range(batch)]
-            width = max(
-                la + lb - 1 if la and lb else 0,
-                max((len(r) for r in polys_c), default=0),
-            )
-            p_rows = field.mat_sub(pad_rows(prod, width), pad_rows(polys_c, width))
-        with telemetry.span("qap.divide", mode=qap.mode, rows=batch):
-            inv_rev = (
-                qap.divisor_inverse_series() if qap.m >= _NEWTON_CUTOFF else None
-            )
-            h_rows = []
-            for row in p_rows:
-                try:
-                    p_w = trim(list(row))
-                    if inv_rev is not None:
-                        h = poly_div_exact(
-                            field, p_w, qap.divisor_poly, inv_rev_den=inv_rev
-                        )
-                    else:
-                        h = poly_div_exact(field, p_w, qap.divisor_poly)
-                    h_rows.append(h)
-                except ValueError as exc:
-                    h_rows.append(exc)
-    out: list = []
-    for h in h_rows:
-        if isinstance(h, Exception):
-            out.append(h)
-            continue
-        h = trim(list(h))  # batched rows carry fixed-width zero padding
-        if len(h) > qap.h_length:
-            raise AssertionError("H(t) degree exceeds the protocol bound")
-        out.append(h + [0] * (qap.h_length - len(h)))
     return out
 
 

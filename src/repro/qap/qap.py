@@ -17,8 +17,10 @@ that Gennaro et al. observe is sufficient (§A.3).
 Two σ-point placements are supported (the DESIGN.md ablation):
 
 * ``"arithmetic"`` — σ_j = j, the paper's choice (§A.3: "a convenient
-  choice is 1, 2, ..., |C|"), with subproduct-tree interpolation for
-  the prover and O(|C|) barycentric weights for the verifier;
+  choice is 1, 2, ..., |C|"), with O(|C|) barycentric weights for the
+  verifier; the prover never interpolates over the σ_j at all, it
+  extrapolates to m+1, ..., 2m+1 (:class:`PointValueTree`) and
+  interpolates H once there;
 * ``"roots"`` — σ_j ranges over a power-of-two subgroup (constraints
   padded with trivial 0·0=0 rows), turning the prover's interpolation
   into inverse NTTs and making D(t) = t^m − 1.
@@ -32,11 +34,71 @@ from functools import cached_property
 from .. import telemetry
 from ..constraints import QuadraticSystem
 from ..field import PrimeField
-from ..poly import SubproductTree, get_barycentric_weights, poly_from_roots
+from ..poly import SubproductTree, get_barycentric_weights, get_ntt_plan
+from ..poly import mat_interpolate_at_roots_of_unity, mat_poly_mul, mul_strategy, pad_rows
+from ..poly import poly_from_roots
 from ..poly.divide import _series_inverse
 
 #: sparse map: variable index -> [(constraint_index_1based, coefficient)]
 SparseColumns = dict[int, list[tuple[int, int]]]
+
+
+class PointValueTree(SubproductTree):
+    """The arithmetic-mode prover's tree over x_k = m+1+k (k = 0..m),
+    with the O(m) constants that carry a polynomial of degree ≤ m from
+    its values at 0..m to its values at the x_k.  Lagrange over 0..m:
+
+        f(x_k) = ℓ(x_k)·Σᵢ f(i)·vᵢ/(x_k − i),   ℓ(x_k) = (m+1+k)!/k!,
+
+    with vᵢ the barycentric weights of 0..m.  The sums are entries m..2m
+    of the convolution of (f(i)·vᵢ) with (1/l), l = 1..2m+1, which a
+    cyclic convolution of length ≥ 2m+1 leaves free of wraparound, so
+    the kernel is transformed once.  D(x_k) = (m+k)!/k! ≠ 0, and the
+    tree's denominators ∏_{j≠k}(x_k − x_j) are the same vᵢ (they depend
+    only on the spacing), so no multipoint evaluation is needed.
+    """
+
+    def __init__(self, field: PrimeField, m: int, weights: list[int]):
+        telemetry.count("poly.plan_misses")
+        super().__init__(field, range(m + 1, 2 * m + 2))
+        self._inv_derivative_evals = list(weights)
+        p = field.p
+        top = 2 * m + 1
+        fact = [1] * (top + 1)
+        for i in range(1, top + 1):
+            fact[i] = fact[i - 1] * i % p
+        inv_fact = field.batch_inv(fact)
+        self.m = m
+        #: 1/l for l = 1..2m+1
+        self.kernel = [fact[l - 1] * inv_fact[l] % p for l in range(1, top + 1)]
+        #: ℓ(x_k) = (m+1+k)!/k!
+        self.scale = [fact[m + 1 + k] * inv_fact[k] % p for k in range(m + 1)]
+        #: 1/D(x_k) = k!/(m+k)!
+        self.inv_divisor = [fact[k] * inv_fact[m + k] % p for k in range(m + 1)]
+        self._plan = None
+        if mul_strategy(field, m + 1, top) == "ntt":
+            self._plan = get_ntt_plan(field, 1 << (top - 1).bit_length())
+            kernel = pad_rows([self.kernel], self._plan.n)
+            self._kernel_spectrum = field.mat_transform(self._plan, kernel)[0]
+
+    def extrapolate(self, rows: list[list[int]]) -> list[list[int]]:
+        """Values at m+1..2m+1 of the polynomials of degree ≤ m whose
+        values at 0..m are ``rows``: one batched convolution for all."""
+        field, m, n = self.field, self.m, len(rows)
+        weighted = field.mat_hadamard(rows, [self.inv_derivative_evals()] * n)
+        plan = self._plan
+        if plan is None:  # small m: schoolbook or Karatsuba rows
+            sums = mat_poly_mul(field, weighted, [self.kernel] * n)
+        else:
+            if telemetry.enabled():
+                telemetry.count("poly.ntt_calls", 2 * n)
+                telemetry.count("poly.ntt_points", 2 * n * plan.n)
+            spectra = field.mat_transform(plan, pad_rows(weighted, plan.n))
+            products = field.mat_hadamard(spectra, [self._kernel_spectrum] * n)
+            sums = field.mat_transform(plan, products, invert=True)
+        return field.mat_hadamard(
+            [row[m : 2 * m + 1] for row in sums], [self.scale] * n
+        )
 
 
 @dataclass
@@ -121,14 +183,15 @@ class QAPInstance:
         return list(self.sigma)
 
     @cached_property
-    def subproduct_tree(self) -> SubproductTree:
-        """Shared tree over ``prover_points`` (arithmetic mode only)."""
-        return SubproductTree(self.field, self.prover_points)
+    def subproduct_tree(self) -> PointValueTree:
+        """The prover's tree over m+1..2m+1 and its extrapolation
+        constants (arithmetic mode only)."""
+        return PointValueTree(self.field, self.m, self.barycentric_weights)
 
     @cached_property
     def divisor_poly(self) -> list[int]:
-        """D(t) coefficients.  Arithmetic mode only — roots mode never
-        materializes D (it is t^m − 1)."""
+        """D(t) coefficients (arithmetic mode; the division oracle's
+        divisor — the prover and verifier never materialize D)."""
         return poly_from_roots(self.field, self.sigma)
 
     @property
@@ -146,12 +209,11 @@ class QAPInstance:
     def divisor_inverse_series(self) -> list[int]:
         """Newton inverse of the reversed D(t), to precision |C| + 1.
 
-        ``poly_div_exact`` needs rev(D)⁻¹ mod t^qlen with qlen ≤ m + 1
-        (deg P_w ≤ 2m and deg D = m); computing it once per QAP means
-        every batch instance after the first skips ``_series_inverse``
-        entirely — the dominant share of the division step.  The list
-        is padded (not trimmed) to m + 1 so callers can check its
-        precision by length.
+        For the division route the tests keep as the oracle of
+        :func:`~repro.qap.prover.compute_h` (the prover never divides):
+        ``poly_div_exact`` needs rev(D)⁻¹ mod t^qlen with qlen ≤ m + 1.
+        The list is padded (not trimmed) to m + 1 so callers can check
+        its precision by length.
         """
         if self._divisor_inverse is None:
             telemetry.count("poly.plan_misses")
@@ -162,6 +224,16 @@ class QAPInstance:
         else:
             telemetry.count("poly.plan_hits")
         return self._divisor_inverse
+
+    def warm(self) -> "QAPInstance":
+        """Build everything :func:`~repro.qap.prover.compute_h` reads, so
+        processes forked after this never rebuild it."""
+        if self.mode == "arithmetic":
+            self.subproduct_tree
+        else:  # the transform plans of one all-zero instance
+            rows = mat_interpolate_at_roots_of_unity(self.field, [[0] * self.m])
+            mat_poly_mul(self.field, rows, rows)
+        return self
 
     @cached_property
     def inv_m(self) -> int:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.crypto import (
+    ElGamalCiphertext,
     ElGamalKeypair,
     FieldPRG,
     ciphertext_mul,
@@ -92,3 +93,58 @@ class TestExponentFieldAlignment:
         big = gold.p + 123
         a = keypair.decrypt_to_group(keypair.public.encrypt(big, prg))
         assert a == group.encode(123)
+
+
+class TestDecryptExponent:
+    """``decrypt_to_group`` computes c2·c1^(−x); the Fermat form
+    c2·c1^(P−1−x) it replaced must agree wherever c1 is invertible."""
+
+    @staticmethod
+    def fermat(keypair, ct):
+        P = keypair.public.group.modulus
+        return ct.c2 * pow(ct.c1, P - 1 - keypair.secret, P) % P
+
+    def test_agrees_with_fermat_form(self, setup):
+        _, group, prg, keypair = setup
+        P = group.modulus
+        inside = pow(group.generator, 12345, P)
+        outside = next(c for c in range(2, 100) if pow(c, group.order, P) != 1)
+        for c1 in (inside, outside, 1, P - 1):
+            ct = ElGamalCiphertext(c1, pow(group.generator, 77, P))
+            assert keypair.decrypt_to_group(ct) == self.fermat(keypair, ct)
+
+    def test_agrees_at_paper_group_size(self, p128):
+        group = group_for_field(p128, paper_scale=True)
+        assert group.modulus.bit_length() == 1024
+        prg = FieldPRG(p128, b"paper-group")
+        keypair = ElGamalKeypair.generate(group, prg)
+        ct = keypair.public.encrypt(31337, prg)
+        assert keypair.decrypt_to_group(ct) == self.fermat(keypair, ct)
+        assert keypair.decrypt_to_group(ct) == group.encode(31337)
+
+    def test_zero_c1_decrypts_to_zero(self, setup):
+        _, group, _, keypair = setup
+        for c1 in (0, group.modulus):
+            ct = ElGamalCiphertext(c1, 5)
+            assert keypair.decrypt_to_group(ct) == 0 == self.fermat(keypair, ct)
+
+    def test_zero_c1_commitment_rejected_end_to_end(self, sumsq_program):
+        """A prover sending c1 = 0 is rejected, and nothing raises."""
+        from repro.argument import ArgumentConfig, ZaatarArgument
+        from repro.pcp import SoundnessParams
+
+        class ZeroC1Prover(ZaatarArgument):
+            def prove_instance(self, input_values, setup, stats):
+                sol, commitment, response, answers = super().prove_instance(
+                    input_values, setup, stats
+                )
+                return sol, ElGamalCiphertext(0, commitment.c2), response, answers
+
+        argument = ZeroC1Prover(
+            sumsq_program, ArgumentConfig(params=SoundnessParams(rho_lin=2, rho=1))
+        )
+        result = argument.run_batch([[1, 2, 3]])
+        (instance,) = result.instances
+        assert instance.ok
+        assert not instance.commitment_ok
+        assert not instance.accepted

@@ -29,7 +29,7 @@ class TestCachedStructures:
 
     def test_prover_points_match_tree(self, sumsq_program):
         qap = build_qap(sumsq_program.quadratic)
-        assert qap.subproduct_tree.points == qap.prover_points
+        assert qap.subproduct_tree.points == list(range(qap.m + 1, 2 * qap.m + 2))
         assert qap.prover_points[0] == 0  # σ₀ pinning point
         assert qap.prover_points[1:] == qap.sigma
 
